@@ -6,6 +6,7 @@ selection, matching), so regressions are attributable.
 """
 
 import numpy as np
+import pytest
 
 from repro.ads.campaign import Advertiser, Campaign
 from repro.ads.matching import CampaignIndex
@@ -14,7 +15,7 @@ from repro.core.laplace import PlanarLaplaceMechanism
 from repro.core.mechanism import default_rng
 from repro.core.params import GeoIndBudget, OneTimeBudget
 from repro.core.posterior import PosteriorSelector
-from repro.geo.index import connected_components
+from repro.geo.index import _grid_labels, component_labels, connected_components
 from repro.geo.point import Point
 
 
@@ -37,6 +38,27 @@ def test_connectivity_clustering_5k_points(benchmark):
     scatter = rng.uniform(-20_000, 20_000, (1_000, 2))
     pts = np.vstack([blob, scatter])
     benchmark(connected_components, pts, 100.0)
+
+
+def _clustering_input(n):
+    """A profile window (n <= 12, 50 m) or an attack candidate set (theta)."""
+    rng = default_rng(n)
+    if n <= 12:
+        tops = rng.uniform(-5_000, 5_000, (3, 2))
+        pts = tops[rng.choice(3, n, p=[0.6, 0.3, 0.1])] + rng.normal(0, 15, (n, 2))
+        return pts, 50.0
+    centres = rng.uniform(-3_000, 3_000, (4, 2))
+    return centres[rng.choice(4, n)] + rng.normal(0, 400, (n, 2)), 484.0
+
+
+@pytest.mark.parametrize("n", [3, 12, 150])
+@pytest.mark.parametrize(
+    "labels", [component_labels, _grid_labels], ids=["selected", "grid"]
+)
+def test_component_labels(benchmark, labels, n):
+    """Serve windows (3, 12) sit below the all-pairs crossover, attacks (150) above."""
+    pts, radius = _clustering_input(n)
+    benchmark(labels, pts, radius)
 
 
 def test_posterior_selection(benchmark):

@@ -16,10 +16,20 @@ implements clustering with a *cell-level union-find*:
 
 This keeps clustering near-linear for both dense routine clusters and
 scattered nomadic points.
+
+The grid's fixed cost (about fifty numpy calls plus a python loop per
+adjacent cell pair) dominates on the inputs an edge sees most often: one
+profile window of a few check-ins, re-clustered every time the window
+closes.  Inputs of at most :data:`ALL_PAIRS_MAX_POINTS` points therefore
+take an all-pairs path that decides exactly the grid's edge set — same
+cell keys, same-cell pairs always connected, cross-cell pairs only at
+the grid's neighbour offsets and only if ``dx*dx + dy*dy <= r2`` — so
+its labels are bit-identical to the grid's by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -29,6 +39,18 @@ import numpy as np
 __all__ = ["GridIndex", "UnionFind", "connected_components", "component_labels"]
 
 CellKey = Tuple[int, int]
+
+#: Largest input clustered all-pairs rather than through the grid.  The
+#: all-pairs path does O(n^2) elementwise work in a constant number of
+#: numpy calls per propagation round; the grid's cost is dominated by its
+#: fixed call count.  On recorded calls (profile windows at 50 m, attack
+#: candidate sets at the attack's theta) all-pairs costs 0.2-0.3x the
+#: grid up to 64 points, 0.4-0.6x up to 128 and breaks even between 160
+#: and 256.  The bound is set by its worst case instead: a chain of
+#: points in shuffled index order needs many propagation rounds, and
+#: costs 0.4-0.8x the grid at 64 points but 0.7-1.6x at 96 and 0.8-1.4x
+#: at 128.
+ALL_PAIRS_MAX_POINTS = 64
 
 
 class UnionFind:
@@ -162,6 +184,44 @@ def _bucket(points: np.ndarray, cell_size: float) -> Dict[CellKey, np.ndarray]:
     return cells
 
 
+def _neighbour_offsets(radius: float) -> List[CellKey]:
+    """Half-plane cell offsets whose cells may hold a pair within ``radius``.
+
+    Cells have side ``radius / sqrt(2)``.  Candidates have Chebyshev
+    offset <= 2, minus offsets whose corner gap exceeds ``radius``
+    (offsets of 3 or more are out of range already).  Only offsets
+    greater than ``(0, 0)`` are listed, so each unordered cell pair is
+    tested once.
+    """
+    cell = radius / math.sqrt(2.0)
+    return [
+        (ox, oy)
+        for ox in range(-2, 3)
+        for oy in range(-2, 3)
+        if (ox, oy) > (0, 0)
+        and math.hypot(max(0, abs(ox) - 1), max(0, abs(oy) - 1)) * cell <= radius
+    ]
+
+
+@functools.lru_cache(maxsize=64)
+def _offset_kinds(radius: float) -> np.ndarray:
+    """How a pair at cell offset ``(ox, oy)`` connects, at ``[ox % 7, oy % 7]``.
+
+    2: same cell, always connected.  1: a grid neighbour offset (either
+    direction), connected iff the pair is within ``radius``.  0: never
+    tested by the grid, so never connected.  Callers clip offsets to
+    +-3 and index with them signed: numpy wraps -3..-1 onto 4..6, which
+    is where ``% 7`` stores them.
+    """
+    kinds = np.zeros((7, 7), dtype=np.int8)
+    kinds[0, 0] = 2
+    for ox, oy in _neighbour_offsets(radius):
+        kinds[ox % 7, oy % 7] = 1
+        kinds[-ox % 7, -oy % 7] = 1
+    kinds.setflags(write=False)
+    return kinds
+
+
 def _cell_roots(points: np.ndarray, radius: float) -> np.ndarray:
     """Union-find over *cells* (not points): each point's component root.
 
@@ -195,18 +255,8 @@ def _cell_roots(points: np.ndarray, radius: float) -> np.ndarray:
     n_cells = len(unique_codes)
 
     uf = UnionFind(n_cells)
-    # Cells whose minimum gap can be <= radius: Chebyshev offset <= 2,
-    # excluding offsets whose corner gap exceeds radius ((3,*) etc. are
-    # already out of range).
-    offsets = [
-        (ox, oy)
-        for ox in range(-2, 3)
-        for oy in range(-2, 3)
-        if (ox, oy) > (0, 0)  # half-plane: each unordered pair once
-        and math.hypot(max(0, abs(ox) - 1), max(0, abs(oy) - 1)) * cell <= radius
-    ]
     r2 = radius * radius
-    for ox, oy in offsets:
+    for ox, oy in _neighbour_offsets(radius):
         target = unique_codes + (ox * width + oy)
         pos = np.searchsorted(unique_codes, target)
         pos = np.minimum(pos, n_cells - 1)
@@ -230,23 +280,84 @@ def _cell_roots(points: np.ndarray, radius: float) -> np.ndarray:
     return cell_root[point_cell]
 
 
+def _grid_labels(points: np.ndarray, radius: float) -> np.ndarray:
+    """Component labels through the cell-level union-find (any size).
+
+    Labels rank components by decreasing size, ties by smallest member
+    index.  This is the reference the all-pairs path must reproduce.
+    """
+    point_root = _cell_roots(points, radius)
+    roots, inverse, counts = np.unique(
+        point_root, return_inverse=True, return_counts=True
+    )
+    first_member = np.full(len(roots), len(points), dtype=np.int64)
+    np.minimum.at(first_member, inverse, np.arange(len(points), dtype=np.int64))
+    order = np.lexsort((first_member, -counts))
+    rank = np.empty(len(roots), dtype=np.int64)
+    rank[order] = np.arange(len(roots), dtype=np.int64)
+    return rank[inverse]
+
+
+def _all_pairs_labels(points: np.ndarray, radius: float) -> np.ndarray:
+    """Component labels from an explicit ``(n, n)`` adjacency (small ``n``).
+
+    The adjacency is the grid's edge set, decided pair by pair: cell
+    keys from the same ``floor(points / (radius / sqrt(2)))``, same-cell
+    pairs always connected, other pairs only at a grid neighbour offset
+    and only if ``dx*dx + dy*dy <= r2`` (the squares of ``b - a`` and
+    ``a - b`` are equal in float, so the direction the grid subtracts in
+    does not matter).  Components come from min-label propagation with
+    pointer jumping; ranks follow the grid's (size desc, first member
+    asc) rule.
+    """
+    n = len(points)
+    # Axis-major (2, n) columns keep every broadcast's inner loop n long.
+    cols = points.T
+    keys = np.floor(cols / (radius / math.sqrt(2.0))).astype(np.int64)
+    offset = keys[:, None, :] - keys[:, :, None]
+    np.minimum(np.maximum(offset, -3, out=offset), 3, out=offset)
+    kind = _offset_kinds(radius)[offset[0], offset[1]]
+    diff = cols[:, None, :] - cols[:, :, None]
+    sq = diff * diff
+    adjacent = kind + (sq[0] + sq[1] <= radius * radius) >= 2
+
+    # Each point's label falls to the smallest index it can reach; a
+    # fixpoint is constant on every component.
+    label = np.arange(n)
+    while True:
+        nxt = np.where(adjacent, label, n).min(axis=1)
+        nxt = nxt[nxt]
+        if (nxt == label).all():
+            break
+        label = nxt
+    # Roots (label[i] == i) sort first by size desc, ties by index asc;
+    # non-roots have size 0, sort last and are never looked up.
+    order = np.argsort(-np.bincount(label, minlength=n), kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    return rank[label]
+
+
+def _labels(points: np.ndarray, radius: float) -> np.ndarray:
+    """Size-selected component labels: all-pairs when small, else the grid."""
+    if len(points) <= ALL_PAIRS_MAX_POINTS:
+        return _all_pairs_labels(points, radius)
+    return _grid_labels(points, radius)
+
+
 def connected_components(points: np.ndarray, radius: float) -> List[List[int]]:
-    """Fixed-radius transitive clustering via cell-level union-find."""
+    """Fixed-radius transitive clustering (size-selected, see :func:`component_labels`)."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     points = np.asarray(points, dtype=float)
-    n = len(points)
-    if n == 0:
+    if len(points) == 0:
         return []
-    point_root = _cell_roots(points, radius)
-    # Group point indices by root, vectorised: stable sort by root keeps
-    # each group's indices ascending, then split at root boundaries.
-    order = np.argsort(point_root, kind="stable")
-    sorted_roots = point_root[order]
-    starts = np.flatnonzero(np.diff(sorted_roots)) + 1
-    components = [g.tolist() for g in np.split(order, starts)]
-    components.sort(key=lambda c: (-len(c), c[0]))
-    return components
+    labels = _labels(points, radius)
+    # A stable sort by label keeps each group's indices ascending, and
+    # label order is already (size desc, first member asc).
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [g.tolist() for g in np.split(order, starts)]
 
 
 def component_labels(points: np.ndarray, radius: float) -> np.ndarray:
@@ -257,24 +368,16 @@ def component_labels(points: np.ndarray, radius: float) -> np.ndarray:
     ``labels == k`` selects the ``k``-th largest component.  This is the
     allocation-light interface for callers that aggregate per component
     (e.g. profile centroids) and do not need explicit index lists.
+    Inputs of at most :data:`ALL_PAIRS_MAX_POINTS` points are clustered
+    all-pairs, larger ones through the grid; both decide the same edges,
+    so the labels do not depend on the path taken.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     points = np.asarray(points, dtype=float)
     if len(points) == 0:
         return np.empty(0, dtype=np.int64)
-    point_root = _cell_roots(points, radius)
-    roots, inverse, counts = np.unique(
-        point_root, return_inverse=True, return_counts=True
-    )
-    # Rank roots by (size desc, smallest member asc) to match the
-    # connected_components ordering contract.
-    first_member = np.full(len(roots), len(points), dtype=np.int64)
-    np.minimum.at(first_member, inverse, np.arange(len(points), dtype=np.int64))
-    order = np.lexsort((first_member, -counts))
-    rank = np.empty(len(roots), dtype=np.int64)
-    rank[order] = np.arange(len(roots), dtype=np.int64)
-    return rank[inverse]
+    return _labels(points, radius)
 
 
 def _cells_connect(

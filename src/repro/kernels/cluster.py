@@ -1,10 +1,12 @@
 """Population-level connectivity clustering over CSR check-in shards.
 
-:func:`repro.geo.index.component_labels` clusters ONE user's check-ins
-with a cell-level union-find whose python loop runs once per adjacent
-cell pair.  At population scale (a 100k-user shard holds millions of
-check-ins) that per-user python work dominates the profiling stage, so
-this kernel clusters **every user of a shard in one array pass**:
+:func:`repro.geo.index.component_labels` clusters ONE user's check-ins:
+up to ``ALL_PAIRS_MAX_POINTS`` points through an all-pairs adjacency,
+larger inputs through a cell-level union-find whose python loop runs
+once per adjacent cell pair.  Either way it pays tens of numpy calls per
+user.  At population scale (a 100k-user shard holds millions of
+check-ins) that per-user work dominates the profiling stage, so this
+kernel clusters **every user of a shard in one array pass**:
 
 * cells are keyed exactly like the per-user index (side
   ``radius / sqrt(2)``, ``floor`` bucketing) but under a composite
@@ -29,6 +31,11 @@ The resulting per-user labels are **bit-identical** to running
 decided by the same predicate ``dx*dx + dy*dy <= r2`` over the same
 cell adjacencies, and label ranks follow the same (size desc, first
 member asc) contract.  The property suite pins this equivalence.
+
+The converse holds for one user: on a serve profile window of a few
+points this kernel's fixed cost is several times the per-user path's,
+so the serve layer's window close stays on
+:func:`~repro.geo.index.component_labels`.
 """
 
 from __future__ import annotations

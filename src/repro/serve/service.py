@@ -278,7 +278,13 @@ class ServeService:
     def run(self) -> ServeResult:
         """Ingest the whole schedule, drain, and return the fleet result."""
         t0 = time.perf_counter()
-        result = asyncio.run(self._run())
+        # The result must not be the main task's return value: on exit
+        # asyncio.run restores the SIGINT handler, and Python 3.11 then
+        # reprs the replaced handler — a partial holding the finished
+        # task, whose repr holds its result with every response.
+        out: List[ServeResult] = []
+        asyncio.run(self._run(out))
+        result = out[0]
         result.wall_seconds = time.perf_counter() - t0
         if trace.enabled():
             trace.get_registry().merge(result.metrics)
@@ -468,7 +474,8 @@ class ServeService:
         if not self.config.replay:
             parent.counter(FLEET_REJOINS).inc()
 
-    async def _run(self) -> ServeResult:
+    async def _run(self, out: List[ServeResult]) -> None:
+        """Serve the schedule to completion and append the result to ``out``."""
         cfg = self.config
         backends, lease, backend_kind = self._build_backends()
         queues = [BoundedIngressQueue(cfg.queue_capacity) for _ in backends]
@@ -496,8 +503,8 @@ class ServeService:
                     backend.executor.shutdown(wait=True)
             if lease is not None:
                 lease.release()
-        return self._assemble(
-            queues, per_shard_batches, finalizes, parent, backend_kind
+        out.append(
+            self._assemble(queues, per_shard_batches, finalizes, parent, backend_kind)
         )
 
     # -- accounting --------------------------------------------------------

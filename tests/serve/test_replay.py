@@ -12,7 +12,7 @@ import pytest
 
 from repro.serve.events import ServeWorkloadConfig, build_schedule
 from repro.serve.harness import run_service
-from repro.serve.service import ServeConfig, ServeService
+from repro.serve.service import ServeConfig, ServeResult, ServeService
 
 WORKLOAD = dict(n_users=6, n_events=150, n_campaigns=40, seed=11)
 
@@ -101,3 +101,29 @@ class TestScheduleInjection:
         a = ServeService(config, schedule=schedule).run()
         b = ServeService(config).run()
         assert a.digest == b.digest
+
+
+class TestRunCost:
+    def test_run_never_reprs_its_result(self, monkeypatch):
+        """``run()`` must not pay to repr a result holding every response.
+
+        ``asyncio.run`` restores the SIGINT handler on exit, and Python
+        3.11 reprs the replaced handler, a partial holding the main task
+        and with it the task's return value.
+        """
+        calls = []
+
+        def spy(self):
+            calls.append(self.processed)
+            return "ServeResult(...)"
+
+        monkeypatch.setattr(ServeResult, "__repr__", spy)
+        config = ServeConfig(
+            workload=ServeWorkloadConfig(**WORKLOAD),
+            n_shards=1,
+            replay=True,
+            use_processes=False,
+        )
+        result = ServeService(config).run()
+        assert result.processed == WORKLOAD["n_events"]
+        assert calls == []
