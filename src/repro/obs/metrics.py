@@ -24,6 +24,18 @@ merged registry is bit-identical for any ``--workers`` count (see
 Gauges are additive on merge by design: a worker's gauge reading is its
 local contribution to a global level (e.g. epsilon spent by the chunk),
 not a sample of a shared quantity.
+
+A long-lived registry can also hand out **deltas**:
+:meth:`MetricsRegistry.drain` returns only the metrics touched since the
+previous drain (in a sparse form of the snapshot) and resets them to
+their initial values.  A drained delta carries exactly what a fresh
+registry used for the same window would have snapshotted: the same
+names (a metric touched only by a zero increment included), the same
+values, the same int/float types.  So folding deltas with :meth:`merge`
+is bit-identical to folding per-window snapshots, without building a
+registry per window.  The sparse form drops empty sections, stores
+histogram counts as ``{bucket: count}``, and omits ``bounds`` when they
+are :data:`DEFAULT_TIME_BUCKETS`; :meth:`merge` accepts both forms.
 """
 
 from __future__ import annotations
@@ -66,6 +78,11 @@ class Counter:
             raise ValueError(f"counter increment must be >= 0, got {amount}")
         self.value += amount
 
+    def drain(self) -> float:
+        """The total so far; the counter restarts from int ``0``."""
+        value, self.value = self.value, 0
+        return value
+
 
 class Gauge:
     """An additive level quantity (set it, or accumulate into it)."""
@@ -83,6 +100,11 @@ class Gauge:
     def add(self, amount: float) -> None:
         """Shift the gauge's level by ``amount`` (may be negative)."""
         self.value += amount
+
+    def drain(self) -> float:
+        """The level so far; the gauge restarts from ``0.0``."""
+        value, self.value = self.value, 0.0
+        return value
 
 
 class MaxGauge:
@@ -106,6 +128,11 @@ class MaxGauge:
         if value > self.value:
             self.value = value
 
+    def drain(self) -> float:
+        """The mark so far; the gauge restarts from ``0.0``."""
+        value, self.value = self.value, 0.0
+        return value
+
 
 class Histogram:
     """A fixed-bucket distribution: cumulative-friendly counts + sum.
@@ -120,12 +147,14 @@ class Histogram:
     def __init__(
         self, name: str, bounds: Tuple[float, ...] = DEFAULT_TIME_BUCKETS
     ) -> None:
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if list(bounds) != sorted(bounds):
-            raise ValueError(f"histogram bounds must be sorted, got {bounds}")
+        if bounds is not DEFAULT_TIME_BUCKETS:
+            if not bounds:
+                raise ValueError("histogram needs at least one bucket bound")
+            if list(bounds) != sorted(bounds):
+                raise ValueError(f"histogram bounds must be sorted, got {bounds}")
+            bounds = tuple(float(b) for b in bounds)
         self.name = name
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
+        self.bounds: Tuple[float, ...] = bounds
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
         self.total: float = 0.0
         self.count: int = 0
@@ -140,6 +169,20 @@ class Histogram:
         """Mean of all observations (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
+    def drain(self) -> Dict[str, Any]:
+        """The sparse wire form of the distribution so far, then empty it."""
+        data: Dict[str, Any] = {
+            "counts": {i: c for i, c in enumerate(self.counts) if c},
+            "sum": self.total,
+            "count": self.count,
+        }
+        if self.bounds != DEFAULT_TIME_BUCKETS:
+            data["bounds"] = list(self.bounds)
+        self.counts = [0] * len(self.counts)
+        self.total = 0.0
+        self.count = 0
+        return data
+
 
 #: A registry snapshot: plain JSON-able nested dicts.
 Snapshot = Dict[str, Any]
@@ -150,7 +193,8 @@ class MetricsRegistry:
 
     Metrics are created on first access; re-requesting a name returns the
     same object.  Requesting an existing histogram with different bounds
-    is an error — merge would be ill-defined.
+    is an error — merge would be ill-defined.  Every access also marks
+    the metric as touched for the next :meth:`drain`.
     """
 
     def __init__(self) -> None:
@@ -158,12 +202,18 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._max_gauges: Dict[str, MaxGauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        # Metrics accessed since the last drain(), per snapshot section.
+        self._touched_counters: Dict[str, Counter] = {}
+        self._touched_gauges: Dict[str, Gauge] = {}
+        self._touched_max_gauges: Dict[str, MaxGauge] = {}
+        self._touched_histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         """The counter registered under ``name`` (created on first use)."""
         metric = self._counters.get(name)
         if metric is None:
             metric = self._counters[name] = Counter(name)
+        self._touched_counters[name] = metric
         return metric
 
     def gauge(self, name: str) -> Gauge:
@@ -171,6 +221,7 @@ class MetricsRegistry:
         metric = self._gauges.get(name)
         if metric is None:
             metric = self._gauges[name] = Gauge(name)
+        self._touched_gauges[name] = metric
         return metric
 
     def max_gauge(self, name: str) -> MaxGauge:
@@ -178,6 +229,7 @@ class MetricsRegistry:
         metric = self._max_gauges.get(name)
         if metric is None:
             metric = self._max_gauges[name] = MaxGauge(name)
+        self._touched_max_gauges[name] = metric
         return metric
 
     def histogram(
@@ -198,6 +250,7 @@ class MetricsRegistry:
                 f"histogram {name!r} already registered with bounds "
                 f"{metric.bounds}, requested {tuple(bounds)}"
             )
+        self._touched_histograms[name] = metric
         return metric
 
     def is_empty(self) -> bool:
@@ -230,13 +283,39 @@ class MetricsRegistry:
             },
         }
 
+    def drain(self) -> Snapshot:
+        """The metrics touched since the last drain, as a sparse delta.
+
+        Each touched metric reports its value and restarts from its
+        initial value (int ``0`` for counters, ``0.0`` for gauges, an
+        empty histogram), staying registered; untouched metrics are left
+        out, and so are empty sections.  See the module doc for the
+        sparse form and why folding deltas equals folding snapshots.
+        """
+        delta: Snapshot = {}
+        sections: Tuple[Tuple[str, Dict[str, Any]], ...] = (
+            ("counters", self._touched_counters),
+            ("gauges", self._touched_gauges),
+            ("max_gauges", self._touched_max_gauges),
+            ("histograms", self._touched_histograms),
+        )
+        for section, touched in sections:
+            if touched:
+                delta[section] = {
+                    name: metric.drain() for name, metric in touched.items()
+                }
+                touched.clear()
+        return delta
+
     def merge(self, snapshot: Snapshot) -> None:
-        """Fold one snapshot into this registry (additive, see module doc).
+        """Fold one snapshot or drained delta in (additive, see module doc).
 
         Merging snapshots in a fixed order (chunk index) is what keeps
         aggregation independent of the worker count: float sums are
         accumulated in the same association no matter which process
-        produced which snapshot.
+        produced which snapshot.  A histogram with no ``bounds`` entry
+        (sparse form) has :data:`DEFAULT_TIME_BUCKETS`; bounds that differ
+        from an existing histogram's raise.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).value += value
@@ -246,23 +325,29 @@ class MetricsRegistry:
             # Max, not sum: a peak observed in any worker bounds the fleet.
             self.max_gauge(name).observe(value)
         for name, data in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name, tuple(data["bounds"]))
-            if list(hist.bounds) != list(data["bounds"]):
-                raise ValueError(
-                    f"cannot merge histogram {name!r}: bounds differ "
-                    f"({hist.bounds} vs {data['bounds']})"
-                )
-            for i, c in enumerate(data["counts"]):
-                hist.counts[i] += c
+            bounds = data.get("bounds")
+            hist = self.histogram(
+                name, DEFAULT_TIME_BUCKETS if bounds is None else tuple(bounds)
+            )
+            counts = data["counts"]
+            if isinstance(counts, dict):  # sparse: {bucket: count}
+                for i, c in counts.items():
+                    hist.counts[int(i)] += c
+            else:
+                for i, c in enumerate(counts):
+                    hist.counts[i] += c
             hist.total += data["sum"]
             hist.count += data["count"]
 
     def clear(self) -> None:
         """Drop every registered metric."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._max_gauges.clear()
-        self._histograms.clear()
+        every: Tuple[Dict[str, Any], ...] = (
+            self._counters, self._gauges, self._max_gauges, self._histograms,
+            self._touched_counters, self._touched_gauges,
+            self._touched_max_gauges, self._touched_histograms,
+        )
+        for metrics in every:
+            metrics.clear()
 
 
 def merge_snapshots(snapshots: Iterable[Snapshot]) -> Snapshot:

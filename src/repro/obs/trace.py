@@ -16,7 +16,11 @@ Two extra entry points integrate pool workers:
 
 * :func:`collect` — a context manager that redirects the runtime into an
   in-memory buffer with a fresh metrics registry; the worker returns the
-  resulting :class:`ChunkObservations` alongside its chunk results.
+  resulting :class:`ChunkObservations` alongside its chunk results.  The
+  scope's metrics leave as a drained delta
+  (:meth:`~repro.obs.metrics.MetricsRegistry.drain`), so code inside the
+  scope may drain the registry itself at finer grain (per event, per
+  actor) and the exit hands back only what is left.
 * :func:`absorb` — replays a worker's buffered spans into the parent's
   trace (ids remapped, roots attached under the parent's active span)
   and merges its metrics snapshot into the parent registry.  Absorbing
@@ -94,6 +98,7 @@ class ChunkObservations:
     """What one :func:`collect` scope captured (picklable for the pool)."""
 
     spans: List[Dict[str, Any]] = field(default_factory=list)
+    #: What the scope's registry held undrained at exit (sparse delta).
     metrics: Snapshot = field(default_factory=dict)
 
 
@@ -274,7 +279,7 @@ class _Collector:
 
     def __exit__(self, *exc: object) -> None:
         rt = _RUNTIME
-        self.observations.metrics = rt.registry.snapshot()
+        self.observations.metrics = rt.registry.drain()
         saved = self._saved or {}
         rt.enabled = bool(saved.get("enabled", False))
         rt.sink = saved.get("sink")

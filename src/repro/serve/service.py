@@ -19,13 +19,17 @@ Shutdown is a drain, not an abort: the producer closes every queue, the
 consumers finish whatever is buffered, and every actor flushes its
 trailing profile window before the fleet snapshot is taken.
 
-The fleet metrics snapshot is assembled parent-side in a canonical
-order — per-event observations in global ``seq`` order (replay), then
-per-actor finalize observations in ``user_index`` order, then the
+The fleet metrics snapshot is folded parent-side *as batches arrive*, in
+a canonical order — per-event deltas in global ``seq`` order (replay),
+then per-actor finalize deltas in ``user_index`` order, then the
 parent's own ingress/latency metrics — and the epsilon/delta audit
 accumulates the underlying ledger entries through the *same* float
 operation sequence the gauges took, so ``privacy.epsilon_spent ==
-audit_epsilon`` holds bitwise, at any shard count.
+audit_epsilon`` holds bitwise, at any shard count.  In replay a shard
+that runs ahead of the others parks its deltas in a small reorder buffer
+until every earlier ``seq`` has folded; once folded, a delta and its
+charges are dropped, so the parent holds no per-event observation past
+its turn.  Live mode folds each batch in arrival order.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import json
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.edge.clock import DEFAULT_VIRTUAL_TICK
 from repro.edge.device import EdgeConfig
@@ -174,6 +178,65 @@ class ServeResult:
         """SHA-256 of the canonical JSON of the fleet metrics snapshot."""
         canon = json.dumps(self.metrics, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+class _FleetFold:
+    """The parent's running view of a run, folded as batches arrive.
+
+    Each fold adds one delta to the fleet registry and the matching
+    ledger charges to the audit as one partial sum.  That is the float
+    order the gauge took: the shard registry summed the charges from
+    ``0.0`` within the delta's window, and :meth:`MetricsRegistry.merge`
+    adds the window's value to the running total — so gauge == audit
+    holds bitwise.  Replay folds per-event deltas in global ``seq``
+    order through a reorder buffer; live folds each batch whole.
+    """
+
+    def __init__(self, replay: bool, n_shards: int) -> None:
+        self.replay = replay
+        self.registry = MetricsRegistry()
+        self.audit_epsilon = 0.0
+        self.audit_delta = 0.0
+        self.responses: List[ServeResponse] = []
+        self.batches = [0] * n_shards
+        #: Replay: the next ``seq`` to fold, and the deltas (with their
+        #: charges) that arrived ahead of it.
+        self.next_seq = 0
+        self.pending: Dict[int, Tuple[Snapshot, List[Charge]]] = {}
+
+    def fold(self, delta: Snapshot, charges: Iterable[Charge]) -> None:
+        """Fold one delta and its window's charges."""
+        self.registry.merge(delta)
+        part_eps = 0.0
+        part_delta = 0.0
+        for eps, delta_spent in charges:
+            part_eps += eps
+            part_delta += delta_spent
+        self.audit_epsilon += part_eps
+        self.audit_delta += part_delta
+
+    def add(self, result: BatchResult) -> None:
+        """Take one processed batch; fold whatever is now in order."""
+        self.batches[result.shard_id] += 1
+        self.responses.extend(result.responses)
+        if not self.replay:
+            [(_, delta)] = result.observations
+            self.fold(delta, [c for _, charged in result.charges for c in charged])
+            return
+        # process() appends an event's charges and its delta in lockstep.
+        for (seq, delta), (_, charged) in zip(result.observations, result.charges):
+            self.pending[seq] = (delta, charged)
+        while self.next_seq in self.pending:
+            self.fold(*self.pending.pop(self.next_seq))
+            self.next_seq += 1
+
+    def check_drained(self) -> None:
+        """Replay folded every event: nothing may be left waiting."""
+        if self.pending:
+            raise RuntimeError(
+                f"{len(self.pending)} event deltas never folded: seq "
+                f"{self.next_seq} did not arrive"
+            )
 
 
 class _ShardBackend:
@@ -356,7 +419,7 @@ class ServeService:
         shard_id: int,
         queue: BoundedIngressQueue,
         backend: _ShardBackend,
-        batches: List[BatchResult],
+        fleet: _FleetFold,
         enqueue_times: Dict[int, float],
         e2e: Optional[MetricsRegistry],
         parent: MetricsRegistry,
@@ -374,8 +437,7 @@ class ServeService:
                 await self._apply_network_events(shard_id, backend, None, parent)
                 return
             await self._apply_network_events(shard_id, backend, batch[0], parent)
-            result = await self._dispatch(backend, batch, parent)
-            batches.append(result)
+            fleet.add(await self._dispatch(backend, batch, parent))
             if e2e is not None:
                 done = time.perf_counter()
                 for seq in batch:
@@ -479,7 +541,7 @@ class ServeService:
         cfg = self.config
         backends, lease, backend_kind = self._build_backends()
         queues = [BoundedIngressQueue(cfg.queue_capacity) for _ in backends]
-        per_shard_batches: List[List[BatchResult]] = [[] for _ in backends]
+        fleet = _FleetFold(cfg.replay, len(backends))
         enqueue_times: Dict[int, float] = {}
         parent = MetricsRegistry()
         e2e = None if cfg.replay else parent
@@ -487,12 +549,10 @@ class ServeService:
             consumers = [
                 asyncio.ensure_future(
                     self._consume(
-                        shard_id, q, b, out, enqueue_times, e2e, parent
+                        shard_id, q, b, fleet, enqueue_times, e2e, parent
                     )
                 )
-                for shard_id, (q, b, out) in enumerate(
-                    zip(queues, backends, per_shard_batches)
-                )
+                for shard_id, (q, b) in enumerate(zip(queues, backends))
             ]
             await self._produce(queues, enqueue_times)
             await asyncio.gather(*consumers)
@@ -503,93 +563,39 @@ class ServeService:
                     backend.executor.shutdown(wait=True)
             if lease is not None:
                 lease.release()
-        out.append(
-            self._assemble(queues, per_shard_batches, finalizes, parent, backend_kind)
-        )
+        out.append(self._assemble(queues, fleet, finalizes, parent, backend_kind))
 
     # -- accounting --------------------------------------------------------
 
     def _assemble(
         self,
         queues: List[BoundedIngressQueue],
-        per_shard_batches: List[List[BatchResult]],
+        fleet: _FleetFold,
         finalizes: List[List[ActorFinalize]],
         parent: MetricsRegistry,
         backend_kind: str,
     ) -> ServeResult:
-        """Merge shard results into the canonical fleet-wide view."""
-        cfg = self.config
-        responses: List[ServeResponse] = []
-        event_obs: List[Tuple[int, Snapshot]] = []
-        event_charges: List[Tuple[int, List[Charge]]] = []
-        for shard_batches in per_shard_batches:
-            for batch in shard_batches:
-                responses.extend(batch.responses)
-                event_obs.extend(batch.observations)
-                event_charges.extend(batch.charges)
-        responses.sort(key=lambda r: r.seq)
-        if cfg.replay:
-            # Canonical order: per-event snapshots by global seq, so the
-            # merged floats associate identically at any shard count.
-            event_obs.sort(key=lambda pair: pair[0])
-            event_charges.sort(key=lambda pair: pair[0])
+        """Finish the fleet-wide view: finalize deltas, then parent metrics.
 
+        The per-event deltas were folded on arrival (:class:`_FleetFold`);
+        what is left is each actor's finalize delta, in ``user_index``
+        order, and the parent's own counters.
+        """
+        if self.config.replay:
+            fleet.check_drained()
+        responses = sorted(fleet.responses, key=lambda r: r.seq)
         actor_finalizes = sorted(
             (af for per_shard in finalizes for af in per_shard),
             key=lambda af: af.user_index,
         )
-
-        # The audit mirrors the gauges' exact float-op order: each
-        # collected snapshot's charges fold into a partial sum first
-        # (that is how the collected registry accumulated the gauge),
-        # then the partial folds into the running total (that is how
-        # merge() adds snapshot gauge values) — so gauge == audit holds
-        # bitwise.
-        merged = MetricsRegistry()
-        audit_eps = 0.0
-        audit_delta = 0.0
-        if cfg.replay:
-            charges_by_seq = dict(event_charges)
-            for seq, snap in event_obs:
-                merged.merge(snap)
-                part_eps = 0.0
-                part_delta = 0.0
-                for eps, delta in charges_by_seq.get(seq, []):
-                    part_eps += eps
-                    part_delta += delta
-                audit_eps += part_eps
-                audit_delta += part_delta
-        else:
-            # Live mode collects one snapshot per batch; fold each
-            # batch's charges as one partial sum, in the same
-            # shard-then-batch order the snapshots merge in.
-            for shard_batches in per_shard_batches:
-                for batch in shard_batches:
-                    for _, snap in batch.observations:
-                        merged.merge(snap)
-                    part_eps = 0.0
-                    part_delta = 0.0
-                    for _, charges in batch.charges:
-                        for eps, delta in charges:
-                            part_eps += eps
-                            part_delta += delta
-                    audit_eps += part_eps
-                    audit_delta += part_delta
         for af in actor_finalizes:
-            merged.merge(af.metrics)
-            part_eps = 0.0
-            part_delta = 0.0
-            for eps, delta in af.charges:
-                part_eps += eps
-                part_delta += delta
-            audit_eps += part_eps
-            audit_delta += part_delta
+            fleet.fold(af.metrics, af.charges)
 
         enqueued = sum(q.enqueued for q in queues)
         dropped = sum(q.dropped for q in queues)
         parent.counter("serve.ingress.enqueued").inc(enqueued)
         parent.counter("serve.ingress.dropped").inc(dropped)
-        merged.merge(parent.snapshot())
+        fleet.registry.merge(parent.snapshot())
 
         shard_stats = [
             {
@@ -597,7 +603,7 @@ class ServeService:
                 "enqueued": q.enqueued,
                 "dropped": q.dropped,
                 "high_water": q.high_water,
-                "batches": len(per_shard_batches[spec_id]),
+                "batches": fleet.batches[spec_id],
                 "actors": len(finalizes[spec_id]),
                 "events": sum(af.events_handled for af in finalizes[spec_id]),
             }
@@ -606,9 +612,9 @@ class ServeService:
         return ServeResult(
             digest=response_digest(responses),
             responses=responses,
-            metrics=merged.snapshot(),
-            audit_epsilon=audit_eps,
-            audit_delta=audit_delta,
+            metrics=fleet.registry.snapshot(),
+            audit_epsilon=fleet.audit_epsilon,
+            audit_delta=fleet.audit_delta,
             ledger_epsilon=sum(af.ledger_epsilon for af in actor_finalizes),
             ledger_delta=sum(af.ledger_delta for af in actor_finalizes),
             ledger_spends=sum(af.ledger_spends for af in actor_finalizes),

@@ -11,15 +11,20 @@ it computes depends on wall time or process identity.
 
 Observability is captured with :func:`repro.obs.trace.collect`, which
 swaps in a fresh registry, so shard workers meter unconditionally and
-the service merges the buffered snapshots parent-side:
+the service folds what they send back parent-side.  Every
+``process(batch)`` call runs inside one collect scope, one registry:
 
-* **replay mode** collects *per event*, and the service merges the
-  per-event snapshots in global ``seq`` order — the float sums are
-  accumulated in one canonical association no matter how many shards the
-  events came from, which is what makes the merged metrics snapshot (and
-  the epsilon/delta gauge audit) bit-identical across shard counts;
-* **live mode** collects per batch — cheaper, and ordering guarantees
-  are not part of the live contract.
+* **replay mode** drains the registry after *every event*
+  (:meth:`~repro.obs.metrics.MetricsRegistry.drain`), so the batch
+  carries one sparse delta per event, and the service folds them in
+  global ``seq`` order — the float sums are accumulated in one canonical
+  association no matter how many shards the events came from, which is
+  what makes the merged metrics snapshot (and the epsilon/delta gauge
+  audit) bit-identical across shard counts;
+* **live mode** sends the batch's registry as one delta — ordering
+  guarantees are not part of the live contract.
+
+:meth:`ShardState.finalize` likewise drains one registry once per seat.
 """
 
 from __future__ import annotations
@@ -93,8 +98,8 @@ class BatchResult:
 
     shard_id: int
     responses: List[ServeResponse] = field(default_factory=list)
-    #: ``(seq, snapshot)`` per event in replay mode; one ``(-1,
-    #: snapshot)`` for the whole batch in live mode.
+    #: ``(seq, delta)`` per event in replay mode; one ``(-1, delta)``
+    #: for the whole batch in live mode (sparse drained deltas).
     observations: List[Tuple[int, Snapshot]] = field(default_factory=list)
     #: ``(seq, charges)``: the ledger entries each event appended.
     charges: List[Tuple[int, List[Charge]]] = field(default_factory=list)
@@ -223,21 +228,17 @@ class ShardState:
     def process(self, batch: List[int]) -> BatchResult:
         """Serve a batch of event sequence numbers, in order."""
         result = BatchResult(shard_id=self.spec.shard_id)
-        if self.spec.replay:
+        replay = self.spec.replay
+        with trace.collect() as obs:
+            registry = trace.get_registry()
             for seq in batch:
-                with trace.collect() as obs:
-                    response, charged = self._handle_event(seq)
+                response, charged = self._handle_event(seq)
                 if response is not None:
                     result.responses.append(response)
-                result.observations.append((seq, obs.metrics))
                 result.charges.append((seq, charged))
-        else:
-            with trace.collect() as obs:
-                for seq in batch:
-                    response, charged = self._handle_event(seq)
-                    if response is not None:
-                        result.responses.append(response)
-                    result.charges.append((seq, charged))
+                if replay:
+                    result.observations.append((seq, registry.drain()))
+        if not replay:
             result.observations.append((-1, obs.metrics))
         return result
 
@@ -248,7 +249,7 @@ class ShardState:
         service merge finalize observations identically for any shard
         count.  Under a fleet scenario the drain also visits parked and
         destroyed seats: pending faults are applied (inside the seat's
-        own collect window), parked snapshots are revived so their
+        own drain window), parked snapshots are revived so their
         ledgers survive into the accounting, and a seat left with no
         actor (lossy crash, never rebuilt) contributes an empty record
         so its loss gauges still merge at the right position.
@@ -258,40 +259,40 @@ class ShardState:
             seats = sorted(self.actors)
         else:
             seats = self.fleet.finalize_seats(self.actors)
-        for user_index in seats:
-            with trace.collect() as obs:
+        with trace.collect():
+            registry = trace.get_registry()
+            for user_index in seats:
                 if self.fleet is not None:
                     self.fleet.before_finalize(
                         user_index, self.actors, self._revive
                     )
                 actor = self.actors.get(user_index)
-                if actor is not None:
-                    entries_before = len(actor.ledger.entries)
-                    actor.finalize()
-            if actor is None:
+                if actor is None:
+                    results.append(
+                        ActorFinalize(
+                            user_index=user_index,
+                            metrics=registry.drain(),
+                            charges=[],
+                            events_handled=0,
+                            ledger_epsilon=0.0,
+                            ledger_delta=0.0,
+                            ledger_spends=0,
+                        )
+                    )
+                    continue
+                entries_before = len(actor.ledger.entries)
+                actor.finalize()
                 results.append(
                     ActorFinalize(
                         user_index=user_index,
-                        metrics=obs.metrics,
-                        charges=[],
-                        events_handled=0,
-                        ledger_epsilon=0.0,
-                        ledger_delta=0.0,
-                        ledger_spends=0,
+                        metrics=registry.drain(),
+                        charges=actor.charged_since(entries_before),
+                        events_handled=actor.events_handled,
+                        ledger_epsilon=actor.ledger.total_epsilon,
+                        ledger_delta=actor.ledger.total_delta,
+                        ledger_spends=actor.ledger.spends,
                     )
                 )
-                continue
-            results.append(
-                ActorFinalize(
-                    user_index=user_index,
-                    metrics=obs.metrics,
-                    charges=actor.charged_since(entries_before),
-                    events_handled=actor.events_handled,
-                    ledger_epsilon=actor.ledger.total_epsilon,
-                    ledger_delta=actor.ledger.total_delta,
-                    ledger_spends=actor.ledger.spends,
-                )
-            )
         return results
 
     # -- checkpointing (network-partition support) ------------------------

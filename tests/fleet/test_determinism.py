@@ -7,6 +7,7 @@ the inline and process backends, and the fleet audit holds under any
 generated fault program.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +81,23 @@ class TestShardInvariance:
         b = _run(clone, 2)
         assert a.digest == b.digest
         assert a.metrics_digest() == b.metrics_digest()
+
+
+class TestChurn10Golden:
+    """``repro fleet run churn10`` digests, recorded before the per-event
+    fold became a drained delta (CPython 3.11, numpy 2.4): they pin the
+    fold's float association, which shard-count invariance alone cannot.
+    """
+
+    RESPONSE = "81fa22536608bd4d0e734e1b58c0f937b060c166e0874b126ee895cff90fb690"
+    METRICS = "50289e5e2facb1afee1e59cce1967f8bdd1c0e97ff72012dddc54087d7cb652b"
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_churn10_digests_equal_the_recorded_ones(self, n_shards):
+        report = run_fleet("churn10", n_shards=n_shards, use_processes=False)
+        assert report.digest == self.RESPONSE
+        assert report.metrics_digest() == self.METRICS
+        assert report.audit.ok, report.audit
 
 
 class TestBackendInvariance:

@@ -159,3 +159,71 @@ class TestPeakRss:
         assert not obs.enabled()
         assert record_peak_rss() > 0
         assert obs.get_registry().is_empty()
+
+
+class TestDrain:
+    def test_drain_reports_touched_metrics_and_resets_them(self):
+        registry = MetricsRegistry()
+        registry.counter("c").inc(3)
+        registry.gauge("g").add(0.25)
+        registry.histogram("h").observe(0.003)
+        delta = registry.drain()
+        assert delta["counters"] == {"c": 3}
+        assert delta["gauges"] == {"g": 0.25}
+        assert delta["histograms"]["h"]["count"] == 1
+        assert delta["histograms"]["h"]["sum"] == 0.003
+        # Still registered, but back at their initial values.
+        snap = registry.snapshot()
+        assert snap["counters"] == {"c": 0}
+        assert type(snap["counters"]["c"]) is int
+        assert snap["gauges"] == {"g": 0.0}
+        assert snap["histograms"]["h"]["counts"] == [0] * (len(DEFAULT_TIME_BUCKETS) + 1)
+
+    def test_untouched_metrics_and_empty_sections_are_left_out(self):
+        registry = MetricsRegistry()
+        registry.counter("a").inc()
+        registry.counter("b").inc()
+        registry.drain()
+        registry.counter("b").inc(2)
+        assert registry.drain() == {"counters": {"b": 2}}
+        assert registry.drain() == {}
+
+    def test_zero_increment_still_reports_the_name(self):
+        registry = MetricsRegistry()
+        registry.counter("zero").inc(0)
+        registry.gauge("level")
+        assert registry.drain() == {"counters": {"zero": 0}, "gauges": {"level": 0.0}}
+
+    def test_sparse_histogram_form(self):
+        registry = MetricsRegistry()
+        registry.histogram("default").observe(0.003)
+        registry.histogram("custom", (1.0, 10.0)).observe(50.0)
+        hists = registry.drain()["histograms"]
+        assert hists["default"] == {"counts": {5: 1}, "sum": 0.003, "count": 1}
+        assert hists["custom"] == {
+            "counts": {2: 1}, "sum": 50.0, "count": 1, "bounds": [1.0, 10.0]
+        }
+
+    def test_merge_of_deltas_equals_merge_of_snapshots(self):
+        registry = MetricsRegistry()
+        registry.histogram("h", (1.0, 10.0)).observe(5.0)
+        registry.counter("c").inc(2)
+        snap = registry.snapshot()
+        via_snapshot, via_delta = MetricsRegistry(), MetricsRegistry()
+        via_snapshot.merge(snap)
+        via_delta.merge(registry.drain())
+        assert via_delta.snapshot() == via_snapshot.snapshot()
+
+    def test_sparse_bounds_mismatch_raises(self):
+        source = MetricsRegistry()
+        source.histogram("h").observe(1.0)
+        target = MetricsRegistry()
+        target.histogram("h", (1.0, 2.0))
+        with pytest.raises(ValueError):
+            target.merge(source.drain())
+
+    def test_clear_forgets_touched_metrics(self):
+        registry = MetricsRegistry()
+        registry.counter("c").inc()
+        registry.clear()
+        assert registry.drain() == {}

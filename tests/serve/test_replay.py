@@ -8,11 +8,15 @@ These are the service's headline invariants (see docs/serving.md):
 * the epsilon/delta budget gauges equal the ledger-entry audit exactly.
 """
 
+import gc
+import weakref
+
 import pytest
 
+from repro.obs import metrics as metrics_module
 from repro.serve.events import ServeWorkloadConfig, build_schedule
 from repro.serve.harness import run_service
-from repro.serve.service import ServeConfig, ServeResult, ServeService
+from repro.serve.service import ServeConfig, ServeResult, ServeService, _FleetFold
 
 WORKLOAD = dict(n_users=6, n_events=150, n_campaigns=40, seed=11)
 
@@ -56,6 +60,62 @@ class TestReplayDeterminism:
         assert [r.seq for r in baseline.responses] == list(
             range(WORKLOAD["n_events"])
         )
+
+
+class TestGoldenDigests:
+    """Digests recorded before the per-event fold became a drained delta.
+
+    Shard-count invariance alone would still hold if the fold's float
+    association changed the same way at every shard count; these pin the
+    association itself.  Recorded with CPython 3.11 and numpy 2.4.
+    """
+
+    RESPONSE = "ffeac426ad158ad5b156a92173e7d096b5e613d4e71da85ff68ef6b048873c01"
+    METRICS = "95b5f8ff79b52b5091e0ad4dcac83847e83e40767d9a39c1436f5474a873fefc"
+
+    def test_digests_equal_the_recorded_ones(self, baseline):
+        assert baseline.digest == self.RESPONSE
+        assert baseline.metrics_digest() == self.METRICS
+        assert baseline.metrics["gauges"]["privacy.delta_spent"] == 0.18000000000000002
+
+
+class TestFoldOnArrival:
+    def test_no_batch_outlives_its_fold(self, monkeypatch):
+        """By assembly time every batch (deltas, charges) has been dropped."""
+        refs = []
+        add, assemble = _FleetFold.add, ServeService._assemble
+        alive_at_assembly = []
+
+        def spy_add(self, result):
+            refs.append(weakref.ref(result))
+            add(self, result)
+
+        def spy_assemble(self, *args, **kwargs):
+            gc.collect()
+            alive_at_assembly.append(sum(ref() is not None for ref in refs))
+            return assemble(self, *args, **kwargs)
+
+        monkeypatch.setattr(_FleetFold, "add", spy_add)
+        monkeypatch.setattr(ServeService, "_assemble", spy_assemble)
+        result = replay(2)
+        assert result.processed == WORKLOAD["n_events"]
+        assert len(refs) >= 2
+        assert alive_at_assembly == [0]
+
+    def test_one_registry_per_batch_not_per_event(self, monkeypatch):
+        built = []
+        init = metrics_module.MetricsRegistry.__init__
+
+        def counting_init(self):
+            built.append(1)
+            init(self)
+
+        monkeypatch.setattr(metrics_module.MetricsRegistry, "__init__", counting_init)
+        result = replay(2)
+        batches = sum(stats["batches"] for stats in result.shard_stats)
+        assert batches < WORKLOAD["n_events"] // 4
+        # One per batch, one per shard's finalize, and the parent's few.
+        assert len(built) <= batches + 2 + 4
 
 
 class TestLedgerExactness:
