@@ -111,9 +111,8 @@ class NFoldGaussianMechanism(LPPM):
     def obfuscate(self, location: Point) -> List[Point]:
         """The n i.i.d. Gaussian-perturbed candidates (Definition 7)."""
         noise = sample_gaussian_noise(self.sigma, self.budget.n, self.rng)
-        return [
-            Point(location.x + float(dx), location.y + float(dy)) for dx, dy in noise
-        ]
+        # One vectorised add: the same IEEE sums as ``location.x + dx``.
+        return [Point(x, y) for x, y in (noise + (location.x, location.y)).tolist()]
 
     def obfuscate_batch(self, locations: np.ndarray) -> np.ndarray:
         """Candidate sets for ``m`` locations as one ``(m, n, 2)`` array.

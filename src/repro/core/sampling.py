@@ -17,7 +17,6 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy.special import lambertw
 
 #: Below this quantile level the planar-Laplace inversion switches from
 #: Lambert-W to its branch-point series (better conditioned near p = 0).
@@ -118,6 +117,8 @@ def planar_laplace_radial_quantile(p: float, epsilon: float) -> float:
         # threshold both branches agree to ~1e-10 relative.
         s = math.sqrt(2.0 * p)
         return (s + s * s / 3.0 + 11.0 * s * s * s / 72.0) / epsilon
+    from scipy.special import lambertw  # lazy: keeps scipy out of import time
+
     w = lambertw((p - 1.0) / math.e, k=-1)
     return float(-(w.real + 1.0) / epsilon)
 
@@ -131,6 +132,8 @@ def planar_laplace_radius_from_uniform(p: np.ndarray, epsilon: float) -> np.ndar
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     p = np.asarray(p, dtype=float)
+    from scipy.special import lambertw  # lazy: keeps scipy out of import time
+
     w = lambertw((p - 1.0) / math.e, k=-1)
     return np.asarray(-(w.real + 1.0) / epsilon, dtype=float)
 

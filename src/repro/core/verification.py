@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.core.sampling import sample_gaussian_noise
 
@@ -51,6 +50,8 @@ def gaussian_delta(distance: float, scale: float, epsilon: float) -> float:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if distance == 0:
         return 0.0
+    from scipy.stats import norm  # lazy: scipy.stats costs ~1 s at import
+
     a = distance / (2.0 * scale)
     b = epsilon * scale / distance
     value = norm.cdf(a - b) - math.exp(epsilon) * norm.cdf(-a - b)

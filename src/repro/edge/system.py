@@ -22,6 +22,7 @@ from repro.edge.client import MobileClient
 from repro.edge.clock import SimulationClock
 from repro.edge.device import EdgeConfig, EdgeDevice
 from repro.edge.provider import HonestButCuriousProvider
+from repro.edge.routing import route_user
 from repro.geo.bbox import BoundingBox
 from repro.obs.trace import enabled as _obs_enabled
 from repro.obs.trace import get_registry as _obs_registry
@@ -142,12 +143,14 @@ class EdgePrivLocAdSystem:
         """The user's client, bound to an edge by stable assignment.
 
         Users attach to the edge device nearest them in a real deployment;
-        the simulation assigns by a stable hash, which preserves the
-        property that matters — one user's state lives on one edge.
+        the simulation assigns by :func:`~repro.edge.routing.route_user`
+        (the service's shard rule), which preserves the property that
+        matters — one user's state lives on one edge — and, unlike
+        builtin ``hash``, does not vary with ``PYTHONHASHSEED``.
         """
         client = self._clients.get(user_id)
         if client is None:
-            edge = self.edges[hash(user_id) % len(self.edges)]
+            edge = self.edges[route_user(user_id, len(self.edges))]
             client = MobileClient(user_id, edge)
             self._clients[user_id] = client
         return client

@@ -18,7 +18,6 @@ order.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from repro.datagen.mobility import MobilityModel, TopLocation
 from repro.datagen.shanghai import STUDY_START_TS, shanghai_planar_bbox
+from repro.edge.routing import route_user
 from repro.geo.point import Point
 
 __all__ = [
@@ -82,16 +82,14 @@ class ServeEvent:
 
 
 def shard_of_user(user_id: str, n_shards: int) -> int:
-    """The shard owning ``user_id``'s actor: ``stable_hash(user_id) % n_shards``.
+    """The shard owning ``user_id``'s actor: ``crc32(user_id) % n_shards``.
 
-    CRC32 rather than builtin ``hash`` because the routing must be stable
-    across processes and runs (``PYTHONHASHSEED`` randomizes ``str``
-    hashing per interpreter), and the shard assignment is part of the
-    service's documented contract.
+    The rule is :func:`repro.edge.routing.route_user`, the same one the
+    edge simulation routes by; it is stable across processes and runs,
+    and the shard assignment is part of the service's documented
+    contract.
     """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    return zlib.crc32(user_id.encode("utf-8")) % n_shards
+    return route_user(user_id, n_shards)
 
 
 class EventSchedule:

@@ -20,6 +20,7 @@ from repro.core.posterior import (
     posterior_weights,
     posterior_weights_array,
 )
+from repro.core.sampling import sample_gaussian_noise
 from repro.geo.point import Point
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -143,3 +144,22 @@ class TestPosteriorBatchEquivalence:
         selector = PosteriorSelector(100.0, rng=default_rng(3))
         picks = selector.select_index_batch(sets)
         assert (picks == 0).all()
+
+
+coords = st.floats(
+    min_value=-1e7, max_value=1e7, allow_nan=False, allow_infinity=False
+)
+
+
+class TestNFoldCandidatesExact:
+    @given(seeds, coords, coords, st.integers(min_value=1, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_candidates_equal_per_row_formula(self, seed, x, y, n):
+        """``obfuscate`` is bit-identical to adding each noise row in Python."""
+        budget = GeoIndBudget(r=500.0, epsilon=1.0, delta=0.01, n=n)
+        mech = NFoldGaussianMechanism(budget, rng=default_rng(seed))
+        noise = sample_gaussian_noise(mech.sigma, n, default_rng(seed))
+        expected = [Point(x + float(dx), y + float(dy)) for dx, dy in noise]
+        got = mech.obfuscate(Point(x, y))
+        assert [(p.x, p.y) for p in got] == [(p.x, p.y) for p in expected]
+        assert all(type(p.x) is float and type(p.y) is float for p in got)

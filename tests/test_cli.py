@@ -1,5 +1,9 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -35,6 +39,45 @@ class TestSimulateCommand:
         ) == 0
         out = capsys.readouterr().out
         assert "attack success" in out
+
+    def test_output_is_independent_of_the_hash_seed(self):
+        """Users route to edges by crc32, not by salted builtin ``hash``."""
+        cmd = [sys.executable, "-m", "repro.cli", "simulate", "--users", "40",
+               "--attack"]
+        procs = [
+            subprocess.Popen(
+                cmd, stdout=subprocess.PIPE, env=_env(PYTHONHASHSEED=seed)
+            )
+            for seed in ("1", "3")
+        ]
+        outs = [proc.communicate(timeout=300)[0] for proc in procs]
+        assert all(proc.returncode == 0 for proc in procs)
+        assert b"attack success" in outs[0]
+        assert outs[0] == outs[1]
+
+
+class TestStartup:
+    def test_serve_import_does_not_load_scipy(self):
+        """scipy.stats / scipy.special load on first use, not at import."""
+        code = (
+            "import sys, repro.serve; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=_env(), check=True, timeout=120,
+        ).stdout
+        assert out.strip() == "[]"
+
+
+def _env(**extra):
+    """This interpreter's environment with ``src`` importable."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = src if not path else os.pathsep.join([src, path])
+    return env
 
 
 class TestAttackCommand:
