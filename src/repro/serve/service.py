@@ -231,7 +231,7 @@ class _FleetFold:
             self.next_seq += 1
 
     def check_drained(self) -> None:
-        """Replay folded every event: nothing may be left waiting."""
+        """Every event has folded: nothing may be left waiting (replay)."""
         if self.pending:
             raise RuntimeError(
                 f"{len(self.pending)} event deltas never folded: seq "
@@ -581,8 +581,7 @@ class ServeService:
         what is left is each actor's finalize delta, in ``user_index``
         order, and the parent's own counters.
         """
-        if self.config.replay:
-            fleet.check_drained()
+        fleet.check_drained()
         responses = sorted(fleet.responses, key=lambda r: r.seq)
         actor_finalizes = sorted(
             (af for per_shard in finalizes for af in per_shard),
